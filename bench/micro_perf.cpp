@@ -4,11 +4,16 @@
 // is fast enough for the exhaustive sweeps.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "avd/controller.h"
 #include "avd/pbft_executor.h"
 #include "crypto/authenticator.h"
 #include "crypto/keychain.h"
 #include "pbft/deployment.h"
+#include "sim/network.h"
+#include "sim/node.h"
 #include "sim/simulator.h"
 
 using namespace avd;
@@ -51,6 +56,100 @@ void BM_SimulatorEventDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SimulatorEventDispatch);
+
+class BenchPayload final : public sim::Message {
+ public:
+  std::uint32_t kind() const noexcept override { return 1; }
+};
+
+class SinkNode final : public sim::Node {
+ public:
+  using sim::Node::Node;
+  void receive(util::NodeId /*from*/, const sim::MessagePtr& /*m*/) override {
+    ++received;
+  }
+  std::uint64_t received = 0;
+};
+
+/// Message hops through Network: 16 registered nodes, 1 ms +- 0.5 ms links,
+/// 10000 sends per iteration (send, fault chain, latency, delivery upcall).
+void BM_NetworkDelivery(benchmark::State& state) {
+  constexpr util::NodeId kNodes = 16;
+  constexpr int kSends = 10000;
+  const sim::MessagePtr payload = std::make_shared<BenchPayload>();
+  std::uint64_t received = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulator simulator(1);
+    sim::Network network(&simulator,
+                         sim::LinkModel{sim::msec(1), sim::usec(500)});
+    std::vector<std::unique_ptr<SinkNode>> nodes;
+    for (util::NodeId id = 0; id < kNodes; ++id) {
+      nodes.push_back(std::make_unique<SinkNode>(id));
+      network.registerNode(nodes.back().get());
+    }
+    state.ResumeTiming();
+    for (int i = 0; i < kSends; ++i) {
+      const auto from = static_cast<util::NodeId>(i % kNodes);
+      network.send(from, (from + 1 + static_cast<util::NodeId>(i / kNodes)) %
+                             kNodes,
+                   payload);
+    }
+    simulator.run();
+    for (const auto& node : nodes) received += node->received;
+  }
+  benchmark::DoNotOptimize(received);
+  state.SetItemsProcessed(state.iterations() * kSends);
+  state.SetLabel("message hops");
+}
+BENCHMARK(BM_NetworkDelivery);
+
+/// Client-retransmission-style timer churn: each node arms a 100 ms retx
+/// timer per request, and the reply (1-2 ms later) cancels and re-arms it,
+/// so nearly every armed timer is cancelled before it fires.
+class RetxNode final : public sim::Node {
+ public:
+  using sim::Node::Node;
+  void receive(util::NodeId /*from*/, const sim::MessagePtr& /*m*/) override {}
+  void start() override { issue(); }
+  std::uint64_t armed = 0;
+
+ private:
+  void issue() {
+    retx_ = setTimer(sim::msec(100), [this] { issue(); });
+    ++armed;
+    const sim::Time reply =
+        sim::msec(1) +
+        static_cast<sim::Time>(simulator().rng().below(sim::msec(1)));
+    setTimer(reply, [this] {
+      cancelTimer(retx_);
+      issue();
+    });
+  }
+  sim::TimerId retx_ = 0;
+};
+
+void BM_TimerArmCancel(benchmark::State& state) {
+  constexpr util::NodeId kNodes = 64;
+  std::uint64_t armed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulator simulator(1);
+    sim::Network network(&simulator, sim::LinkModel{});
+    std::vector<std::unique_ptr<RetxNode>> nodes;
+    for (util::NodeId id = 0; id < kNodes; ++id) {
+      nodes.push_back(std::make_unique<RetxNode>(id));
+      network.registerNode(nodes.back().get());
+    }
+    state.ResumeTiming();
+    for (const auto& node : nodes) node->start();
+    simulator.runUntil(sim::msec(200));
+    for (const auto& node : nodes) armed += node->armed;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(armed));
+  state.SetLabel("timers armed (each then cancelled)");
+}
+BENCHMARK(BM_TimerArmCancel);
 
 /// Requests committed per wall-second through a full f=1..3 deployment.
 void BM_PbftCommitThroughput(benchmark::State& state) {

@@ -40,9 +40,12 @@ class ByteWriter {
  private:
   template <typename T>
   void appendLe(T v) {
+    // One range insert, so the buffer grows at most once per scalar.
+    std::uint8_t bytes[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
   }
 
   Bytes buf_;

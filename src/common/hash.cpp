@@ -2,18 +2,10 @@
 
 namespace avd::util {
 
-namespace {
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-}  // namespace
-
 std::uint64_t fnv1a(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t h = kFnvOffset;
-  for (std::uint8_t b : data) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
+  Fnv1aStream h;
+  h.raw(data);
+  return h.value();
 }
 
 std::uint64_t fnv1a(std::string_view s) noexcept {

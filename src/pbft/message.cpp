@@ -6,13 +6,15 @@ namespace avd::pbft {
 
 std::uint64_t requestDigest(util::NodeId client, util::RequestId timestamp,
                             const util::Bytes& operation, bool readOnly) {
-  util::ByteWriter writer;
-  writer.u32(static_cast<std::uint32_t>(MsgKind::kRequest));
-  writer.u32(client);
-  writer.u64(timestamp);
-  writer.blob(operation);
-  writer.u8(readOnly ? 1 : 0);
-  return util::fnv1a(writer.bytes());
+  // Streamed over the canonical ByteWriter encoding; runs on every request
+  // a replica receives, so it builds no buffer.
+  util::Fnv1aStream h;
+  h.u32(static_cast<std::uint32_t>(MsgKind::kRequest));
+  h.u32(client);
+  h.u64(timestamp);
+  h.blob(operation);
+  h.u8(readOnly ? 1 : 0);
+  return h.value();
 }
 
 std::uint64_t batchDigest(const std::vector<RequestPtr>& batch) {

@@ -81,23 +81,26 @@ void Network::sendFrom(Node* sender, util::NodeId to, MessagePtr message) {
         static_cast<std::uint64_t>(model_.jitter) + 1));
   }
 
-  simulator_->schedule(
-      delay, [this, from, to, receiver, message = std::move(message)]() mutable {
-    // Twin instances bypass the bounded ingress path (lanes are keyed by
-    // logical id, which would always resolve to the side-0 instance).
-    if (model_.ingressEnabled() && from >= model_.ingressPriorityNodes &&
-        receiver == node(to)) {
-      enqueueIngress(from, to, std::move(message));
-      return;
-    }
-    if (!receiver->alive()) {
-      ++counters_.droppedDeadNode;
-      return;
-    }
-    ++counters_.delivered;
-    ++counters_.deliveredByKind[message->kind()];
-    receiver->receive(from, message);
-  });
+  simulator_->scheduleDelivery(delay, this, from, to, receiver,
+                               std::move(message));
+}
+
+void Network::deliver(util::NodeId from, util::NodeId to, Node* receiver,
+                      MessagePtr message) {
+  // Twin instances bypass the bounded ingress path (lanes are keyed by
+  // logical id, which would always resolve to the side-0 instance).
+  if (model_.ingressEnabled() && from >= model_.ingressPriorityNodes &&
+      receiver == node(to)) {
+    enqueueIngress(from, to, std::move(message));
+    return;
+  }
+  if (!receiver->alive()) {
+    ++counters_.droppedDeadNode;
+    return;
+  }
+  ++counters_.delivered;
+  ++counters_.deliveredByKind[message->kind()];
+  receiver->receive(from, message);
 }
 
 void Network::enqueueIngress(util::NodeId from, util::NodeId to,

@@ -205,6 +205,12 @@ class Network {
     IngressStats stats;
   };
 
+  friend class Simulator;
+
+  /// Arrival of a message scheduled by sendFrom (a typed simulator event):
+  /// into the receiver's ingress queue, or straight to receive().
+  void deliver(util::NodeId from, util::NodeId to, Node* receiver,
+               MessagePtr message);
   void enqueueIngress(util::NodeId from, util::NodeId to, MessagePtr message);
   void serviceIngress(util::NodeId to);
 

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "common/bytes.h"
+#include "common/hash.h"
+#include "common/rng.h"
 #include "pbft/config.h"
 #include "pbft/log.h"
 #include "pbft/message.h"
@@ -46,6 +50,54 @@ TEST(Digests, RequestDigestBindsAllFields) {
   EXPECT_NE(base, requestDigest(1, 9, op)) << "timestamp";
   EXPECT_NE(base, requestDigest(1, 2, util::Bytes{1, 2})) << "operation";
   EXPECT_EQ(base, requestDigest(1, 2, op)) << "deterministic";
+}
+
+TEST(Digests, RequestDigestEqualsFnvOfCanonicalEncoding) {
+  // requestDigest streams FNV-1a; it must equal fnv1a over the canonical
+  // ByteWriter encoding it stands for.
+  const auto encoded = [](util::NodeId client, util::RequestId timestamp,
+                          const util::Bytes& operation, bool readOnly) {
+    util::ByteWriter writer;
+    writer.u32(static_cast<std::uint32_t>(MsgKind::kRequest));
+    writer.u32(client);
+    writer.u64(timestamp);
+    writer.blob(operation);
+    writer.u8(readOnly ? 1 : 0);
+    return util::fnv1a(writer.bytes());
+  };
+  util::Rng rng(2011);
+  std::vector<util::Bytes> operations = {{}, {0}, {0xFF}};
+  for (const std::size_t size : {std::size_t{2}, std::size_t{63},
+                                 std::size_t{64}, std::size_t{4096},
+                                 std::size_t{64 * 1024 + 1},
+                                 std::size_t{100000}}) {
+    util::Bytes operation(size);
+    for (std::uint8_t& b : operation) b = static_cast<std::uint8_t>(rng.next());
+    operations.push_back(std::move(operation));
+  }
+  for (int i = 0; i < 50; ++i) {
+    util::Bytes operation(rng.below(300));
+    for (std::uint8_t& b : operation) b = static_cast<std::uint8_t>(rng.next());
+    operations.push_back(std::move(operation));
+  }
+  std::size_t checked = 0;
+  for (const util::Bytes& operation : operations) {
+    for (const util::NodeId client :
+         {util::NodeId{0}, static_cast<util::NodeId>(rng.next()),
+          util::NodeId{UINT32_MAX}}) {
+      for (const util::RequestId timestamp :
+           {util::RequestId{0}, rng.next(), util::RequestId{UINT64_MAX}}) {
+        for (const bool readOnly : {false, true}) {
+          ASSERT_EQ(requestDigest(client, timestamp, operation, readOnly),
+                    encoded(client, timestamp, operation, readOnly))
+              << "op size " << operation.size() << " client " << client
+              << " ts " << timestamp << " readOnly " << readOnly;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, operations.size() * 18);
 }
 
 TEST(Digests, BatchDigestIsOrderSensitive) {

@@ -1,6 +1,8 @@
 // Unit tests for the discrete-event simulation engine and network fabric.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "faultinject/network_faults.h"
@@ -52,6 +54,136 @@ TEST(Simulator, CancelIsIdempotentAndTolerant) {
   simulator.cancel(0);        // invalid id: no-op
   simulator.cancel(99999);    // never-issued id: no-op
   simulator.run();
+}
+
+// --- Cancel contract: exact, O(1), fired or unknown ids are no-ops ----------
+
+TEST(SimulatorCancel, CancelAfterFireIsNoOp) {
+  Simulator simulator;
+  int fired = 0;
+  const TimerId id = simulator.schedule(1, [&] { ++fired; });
+  simulator.run();
+  simulator.cancel(id);
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+  (void)simulator.schedule(1, [&] { ++fired; });
+  EXPECT_EQ(simulator.pendingEvents(), 1u);
+  simulator.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+}
+
+TEST(SimulatorCancel, ManyFireThenCancelKeepsPendingExact) {
+  Simulator simulator;
+  // One long-lived event stays pending across the whole loop.
+  bool lateFired = false;
+  (void)simulator.schedule(sec(1000), [&] { lateFired = true; });
+  std::size_t fired = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const TimerId id = simulator.schedule(1, [&] { ++fired; });
+    ASSERT_TRUE(simulator.step());
+    simulator.cancel(id);
+    ASSERT_EQ(simulator.pendingEvents(), 1u) << "iteration " << i;
+  }
+  EXPECT_EQ(fired, 100000u);
+  simulator.run();
+  EXPECT_TRUE(lateFired);
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+}
+
+TEST(SimulatorCancel, DoubleCancelAndNeverIssuedIdsAreNoOps) {
+  Simulator simulator;
+  std::vector<int> order;
+  const TimerId a = simulator.schedule(1, [&] { order.push_back(1); });
+  const TimerId b = simulator.schedule(2, [&] { order.push_back(2); });
+  (void)simulator.schedule(3, [&] { order.push_back(3); });
+  simulator.cancel(b);
+  simulator.cancel(b);
+  simulator.cancel(0);
+  // Not issued yet: cancelling it now must not affect the event that is
+  // later given this id.
+  const TimerId future = b + 2;
+  simulator.cancel(future);
+  EXPECT_EQ(simulator.pendingEvents(), 2u);
+  const TimerId d = simulator.schedule(4, [&] { order.push_back(4); });
+  EXPECT_EQ(d, future);
+  EXPECT_EQ(simulator.pendingEvents(), 3u);
+  simulator.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(a + 1, b);
+}
+
+TEST(SimulatorCancel, CallbackCancelsItselfAndAnotherPendingEvent) {
+  Simulator simulator;
+  bool otherFired = false;
+  TimerId self = 0;
+  const TimerId other = simulator.schedule(10, [&] { otherFired = true; });
+  self = simulator.schedule(5, [&] {
+    simulator.cancel(self);   // already firing: no-op
+    simulator.cancel(other);  // still pending: cancelled
+    EXPECT_EQ(simulator.pendingEvents(), 0u);
+  });
+  EXPECT_EQ(simulator.pendingEvents(), 2u);
+  simulator.run();
+  EXPECT_FALSE(otherFired);
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+  EXPECT_EQ(simulator.now(), 5);
+}
+
+TEST(SimulatorCancel, CancelOfIdWhoseSlotWasReusedIsNoOp) {
+  Simulator simulator;
+  int fired = 0;
+  const TimerId first = simulator.schedule(1, [&] { ++fired; });
+  simulator.run();
+  // The fired event's storage is recycled for the next one.
+  const TimerId second = simulator.schedule(1, [&] { fired += 10; });
+  ASSERT_NE(first, second);
+  simulator.cancel(first);
+  EXPECT_EQ(simulator.pendingEvents(), 1u);
+  simulator.run();
+  EXPECT_EQ(fired, 11);
+
+  // Same after a cancel frees the storage instead of a fire.
+  const TimerId third = simulator.schedule(1, [&] { fired += 100; });
+  simulator.cancel(third);
+  (void)simulator.schedule(1, [&] { fired += 1000; });
+  simulator.cancel(third);
+  simulator.run();
+  EXPECT_EQ(fired, 1011);
+}
+
+TEST(SimulatorCancel, CancelReleasesCallbackAtOnce) {
+  Simulator simulator;
+  auto token = std::make_shared<int>(1);
+  const std::weak_ptr<int> observer = token;
+  const TimerId id = simulator.schedule(sec(1), [token] { (void)*token; });
+  token.reset();
+  ASSERT_FALSE(observer.expired());
+  simulator.cancel(id);
+  EXPECT_TRUE(observer.expired()) << "cancel kept the capture alive";
+}
+
+TEST(SimulatorCancel, MassCancelKeepsOrderOfSurvivors) {
+  // Cancelling most events forces the queue to drop its dead entries in
+  // bulk; the survivors must still fire in (time, insertion) order.
+  Simulator simulator;
+  std::vector<int> order;
+  std::vector<TimerId> ids;
+  for (int i = 0; i < 5000; ++i) {
+    const Time when = (i * 7919) % 1000;
+    ids.push_back(
+        simulator.schedule(when, [&order, i] { order.push_back(i); }));
+  }
+  for (int i = 0; i < 5000; ++i) {
+    if (i % 10 != 0) simulator.cancel(ids[static_cast<std::size_t>(i)]);
+  }
+  EXPECT_EQ(simulator.pendingEvents(), 500u);
+  simulator.run();
+  std::vector<int> expected;
+  for (int i = 0; i < 5000; i += 10) expected.push_back(i);
+  std::stable_sort(expected.begin(), expected.end(), [](int a, int b) {
+    return (a * 7919) % 1000 < (b * 7919) % 1000;
+  });
+  EXPECT_EQ(order, expected);
 }
 
 TEST(Simulator, RunUntilStopsAtDeadline) {
@@ -320,6 +452,31 @@ TEST_F(NetFixture, PartitionCutsBothDirectionsAndHeals) {
   nodes[0]->send(1, std::make_shared<TestPayload>(3));
   simulator.run();
   EXPECT_EQ(nodes[1]->deliveries.size(), 1u);
+}
+
+TEST_F(NetFixture, EventIdsAreSequentialAcrossEventKinds) {
+  // Generic events, deliveries and node timers share one id sequence, so
+  // ids (and the insertion-order tie-break) follow schedule order.
+  const TimerId first = simulator.schedule(msec(1), [] {});
+  nodes[0]->send(1, std::make_shared<TestPayload>(0));
+  const TimerId timer = nodes[0]->setTimer(msec(1), [] {});
+  EXPECT_EQ(timer, first + 2);
+  EXPECT_EQ(simulator.pendingEvents(), 3u);
+  simulator.run();
+  EXPECT_EQ(nodes[1]->deliveries.size(), 1u);
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+  EXPECT_EQ(simulator.executedEvents(), 3u);
+}
+
+TEST_F(NetFixture, SuppressedTimerCountsAsFiredForCancel) {
+  bool fired = false;
+  const TimerId id = nodes[0]->setTimer(msec(5), [&] { fired = true; });
+  nodes[0]->crash();
+  simulator.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(simulator.executedEvents(), 1u);
+  simulator.cancel(id);  // fired (suppressed) already: no-op
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
 }
 
 TEST(NetworkJitter, JitterBoundsDeliveryTime) {

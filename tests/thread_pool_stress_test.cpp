@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "sim/network.h"
+#include "sim/node.h"
 #include "sim/simulator.h"
 
 namespace avd::util {
@@ -137,6 +139,28 @@ TEST(SimulatorShutdown, DestructionWithPendingEventsIsClean) {
     // No run: destructor discards the pending event.
   }
   EXPECT_TRUE(observer.expired()) << "pending event leaked its capture";
+
+  // A pending network delivery owns its message the same way.
+  struct Payload final : Message {
+    std::uint32_t kind() const noexcept override { return 1; }
+  };
+  struct Sink final : Node {
+    using Node::Node;
+    void receive(util::NodeId, const MessagePtr&) override {}
+  };
+  auto message = std::make_shared<const Payload>();
+  std::weak_ptr<const Payload> inFlight = message;
+  {
+    Simulator simulator;
+    Network network(&simulator, LinkModel{});
+    Sink sender(0);
+    Sink receiver(1);
+    network.registerNode(&sender);
+    network.registerNode(&receiver);
+    network.send(0, 1, std::move(message));
+    EXPECT_FALSE(inFlight.expired()) << "delivery still holds the message";
+  }
+  EXPECT_TRUE(inFlight.expired()) << "pending delivery leaked its message";
 }
 
 }  // namespace
