@@ -7,13 +7,11 @@
 // only the coordinator ever touches the Controller, so Algorithm 1's
 // learning loop stays strictly sequential and deterministic.
 //
-// Determinism contract (what makes the chaos tests exact): the journal's
-// gen/done interleave is a pure function of (seed, batch x slots, total).
-// "gen" lines are appended greedily whenever fewer than L = batch x slots
-// scenarios are generated-but-unfolded; "done" lines are appended strictly
-// in test order (out-of-order completions buffer in memory until their
-// turn). Worker crashes, wedge kills, reassignment, drain, and
-// kill-plus-resume therefore never change the journal bytes — an
+// The coordinator is the process-transport face of the campaign scheduler
+// (campaign/scheduler.h), which CampaignRunner shares, so the same
+// determinism contract holds: the journal is a pure function of (seed,
+// L = batch x slots, total). Worker crashes, wedge kills, reassignment,
+// drain, and kill-plus-resume never change the journal bytes; an
 // interrupted-and-resumed campaign's journal is byte-identical to an
 // uninterrupted same-seed run's.
 //
@@ -30,7 +28,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -106,12 +103,7 @@ class FleetCoordinator {
   [[nodiscard]] std::uint16_t listenPort() const;
 
  private:
-  CampaignResult drive(core::Controller& controller,
-                       const core::Hyperspace& space, JournalWriter* journal,
-                       ReplayState replayed,
-                       std::map<std::uint64_t, DoneEvent> preFolded,
-                       std::map<std::uint64_t, std::uint64_t> nextIncarnation,
-                       Checkpoint carried);
+  CampaignResult runOrResume(bool resume);
 
   FleetOptions options_;
   ExecutorFactory factory_;

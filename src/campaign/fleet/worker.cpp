@@ -2,12 +2,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <thread>
 #include <utility>
 
 #include "campaign/fleet/protocol.h"
 #include "campaign/fleet/shard.h"
+#include "campaign/scheduler.h"
 #include "common/framing.h"
 #include "common/lockdep.h"
 #include "common/proc.h"
@@ -121,17 +121,8 @@ int runWorker(int fd, const WorkerExecutorFactory& makeExecutor,
       busy.busyTest = assign->test;
       busy.busySince = BeatClock::now();
     }
-    DoneEvent done;
-    done.test = assign->test;
-    try {
-      done.outcome = executor->execute(assign->point);
-    } catch (const std::exception& e) {
-      done.failed = true;
-      done.error = e.what();
-    } catch (...) {
-      done.failed = true;
-      done.error = "unknown executor exception";
-    }
+    const DoneEvent done =
+        executeGuarded(*executor, assign->test, assign->point);
     {
       const std::lock_guard<lockdep::Mutex> guard(busy.mutex);
       busy.busyTest = 0;

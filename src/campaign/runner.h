@@ -3,13 +3,13 @@
 //
 // The paper's controller explores one scenario at a time; each scenario
 // re-initializes a full deployment, so test *execution* is embarrassingly
-// parallel while test *generation* is a cheap sequential learning step. The
-// runner exploits exactly that split: one Controller drives Algorithm 1
-// through its batch-asynchronous acquire/report interface, while up to W
-// ScenarioExecutor instances — one per worker, each owning its own fresh
-// deployments, no shared mutable state — execute acquired scenarios on a
-// thread pool. Outcomes are folded back into the controller in completion
-// order.
+// parallel while test *generation* is a cheap sequential learning step.
+// CampaignRunner is the in-process face of the campaign scheduler
+// (campaign/scheduler.h): one Controller drives Algorithm 1 while W
+// ScenarioExecutor instances, one per thread slot, each owning its own
+// fresh deployments, execute scenarios. Slots take one scenario at a time,
+// so the generation window is L = W, and outcomes fold in test order: a
+// campaign's journal is a pure function of (seed, W, total).
 //
 // Reliability properties:
 //  * every acquire and report is journaled (campaign/journal.h), so a
@@ -17,18 +17,18 @@
 //  * a worker that throws produces a failed zero-impact outcome, not a dead
 //    campaign;
 //  * an optional watchdog declares scenarios that exceed a wall-clock
-//    budget timed out and retires their worker slot, so one wedged scenario
-//    cannot stall the whole campaign (a campaign whose every worker wedges
-//    aborts with partial results).
+//    budget timed out and abandons their slot to a fresh executor, so one
+//    wedged scenario cannot stall the whole campaign (a campaign whose
+//    every slot wedges past the respawn budget aborts with partial
+//    results).
 //
-// With workers == 1 and no watchdog the runner executes inline on the
-// calling thread in acquire -> execute -> report order, which makes a
-// serial campaign bit-identical to Controller::runTests for the same seed.
+// With workers == 1 and no watchdog the scenario executes on the calling
+// thread in acquire -> execute -> report order, which makes a serial
+// campaign bit-identical to Controller::runTests for the same seed.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,12 +77,13 @@ struct CampaignOptions {
 };
 
 struct CampaignResult {
-  /// Completion-order history (the controller's view).
+  /// History in fold order, which is test order (a resumed journal of the
+  /// old completion-order runner keeps its replayed prefix's order).
   std::vector<core::TestRecord> history;
   double maxImpact = 0.0;
   std::size_t executed = 0;
   std::size_t failed = 0;    // executor threw
-  std::size_t timedOut = 0;  // watchdog retired the scenario
+  std::size_t timedOut = 0;  // wedged past its wall-clock budget
   /// True when every worker slot wedged and the campaign gave up early;
   /// history holds the completed prefix.
   bool aborted = false;
@@ -93,29 +94,11 @@ struct CampaignResult {
   /// died mid-batch (fleet only; outcomes are pure functions of points, so
   /// re-execution is safe).
   std::size_t reassigned = 0;
-  /// Worker process deaths observed by the fleet coordinator.
+  /// Worker slots lost: fleet process deaths and wedged thread slots.
   std::size_t workerCrashes = 0;
   /// Deduplicated vulnerability classes (impact >= dedupMinImpact).
   std::vector<VulnClass> classes;
 };
-
-/// Controller state reconstructed by replaying a journal (no re-execution).
-struct ReplayState {
-  /// Scenarios with a journaled "gen" but no "done" — in flight at the
-  /// kill; the resuming driver re-executes them first.
-  std::map<std::uint64_t, core::GeneratedScenario> pending;
-  std::uint64_t nextTest = 1;  // next un-generated 1-based test number
-  std::size_t replayedFailed = 0;
-  std::size_t replayedTimedOut = 0;
-};
-
-/// Feeds journaled events through `controller` in recorded order, verifying
-/// each regenerated scenario and folded best-impact against the journal.
-/// Shared by CampaignRunner::resume and the fleet coordinator. Throws
-/// std::runtime_error on divergence (wrong seed, edited journal, changed
-/// hyperspace).
-ReplayState replayJournal(core::Controller& controller,
-                          const std::vector<JournalEvent>& events);
 
 class CampaignRunner {
  public:
@@ -135,16 +118,7 @@ class CampaignRunner {
   CampaignResult resume();
 
  private:
-  CampaignResult drive(core::Controller& controller,
-                       std::vector<std::unique_ptr<core::ScenarioExecutor>>&
-                           executors,
-                       JournalWriter* journal,
-                       std::map<std::uint64_t, core::GeneratedScenario>
-                           pendingReplay,
-                       std::uint64_t nextTest, std::size_t replayedFailed,
-                       std::size_t replayedTimedOut);
-
-  std::vector<std::unique_ptr<core::ScenarioExecutor>> makeExecutors() const;
+  CampaignResult runOrResume(bool resume);
 
   ExecutorFactory factory_;
   CampaignOptions options_;

@@ -285,6 +285,34 @@ TEST(CampaignBitIdentity, ParallelCampaignReachesSerialBestImpactOnQuorum) {
   EXPECT_NEAR(parallelResult.maxImpact, serialResult.maxImpact, 0.05);
 }
 
+TEST(CampaignBitIdentity, ParallelCampaignsWriteByteIdenticalArtifacts) {
+  // Thread slots fold in test order, so W > 1 is as reproducible as W = 1:
+  // same journal bytes and the same class report, run to run.
+  const std::string dirA = scratchDir("parallel_a");
+  const std::string dirB = scratchDir("parallel_b");
+  std::string classesA;
+  for (const std::string& dir : {dirA, dirB}) {
+    CampaignOptions options;
+    options.seed = 2011;
+    options.totalTests = 40;
+    options.workers = 4;
+    options.outDir = dir;
+    const CampaignResult result =
+        CampaignRunner(quorumFactory(), options).run();
+    EXPECT_EQ(result.executed, 40u);
+    const std::string classes =
+        vulnClassesJson(quorumFactory()()->space(), result.classes);
+    if (dir == dirA) {
+      classesA = classes;
+    } else {
+      EXPECT_EQ(classes, classesA);
+    }
+  }
+  const std::string journal = readAll(journalPath(dirA));
+  EXPECT_FALSE(journal.empty());
+  EXPECT_EQ(journal, readAll(journalPath(dirB)));
+}
+
 // --- journal encode/decode ---------------------------------------------------
 
 TEST(CampaignJournal, GenEventRoundTripsBitExactly) {
@@ -532,6 +560,80 @@ TEST(CampaignCompat, PreTwinsDirectoryKillResumesToIdenticalArtifacts) {
   const auto executor = pretwinsQuorumFactory()();
   EXPECT_EQ(vulnClassesJson(executor->space(), result.classes),
             readAll(fixturePath("pretwins_classes.json")));
+}
+
+// --- completion-order journal compatibility ----------------------------------
+//
+// Before in-process campaigns ran on the ordered-fold scheduler, W > 1
+// folded outcomes in completion order. The legacy_w4 fixtures come from
+// that binary (`avd_cli campaign --system quorum --tests 24 --workers 4
+// --seed 11`), killed 29 lines plus 17 bytes in: folded tests 1-9, 11 and
+// 14-16 are journaled, tests 10, 12 and 13 are in flight, and the torn
+// gen line of test 17 follows.
+
+/// Counts executions, so a resume can prove it re-ran no folded test.
+class CountingExecutor final : public core::ScenarioExecutor {
+ public:
+  CountingExecutor(std::unique_ptr<core::ScenarioExecutor> inner,
+                   std::shared_ptr<std::atomic<std::size_t>> executions)
+      : inner_(std::move(inner)), executions_(std::move(executions)) {}
+  core::Outcome execute(const core::Point& point) override {
+    executions_->fetch_add(1);
+    return inner_->execute(point);
+  }
+  const core::Hyperspace& space() const noexcept override {
+    return inner_->space();
+  }
+
+ private:
+  std::unique_ptr<core::ScenarioExecutor> inner_;
+  std::shared_ptr<std::atomic<std::size_t>> executions_;
+};
+
+TEST(CampaignCompat, CompletionOrderJournalResumesWithoutReexecutingFolds) {
+  const std::string dir = scratchDir("legacy_w4");
+  const std::string cut = readAll(fixturePath("legacy_w4_journal.jsonl"));
+  writeAll(dir + "/manifest.json",
+           readAll(fixturePath("legacy_w4_manifest.json")));
+  writeAll(journalPath(dir), cut);
+  const auto replayed = loadJournal(journalPath(dir));
+  ASSERT_TRUE(replayed.has_value());
+  ASSERT_TRUE(replayed->truncatedTail);
+  const std::string prefix = cut.substr(0, replayed->validBytes);
+
+  auto executions = std::make_shared<std::atomic<std::size_t>>(0);
+  CampaignOptions options;
+  options.outDir = dir;
+  const CampaignResult result =
+      CampaignRunner(
+          [executions] {
+            return std::make_unique<CountingExecutor>(
+                pretwinsQuorumFactory()(), executions);
+          },
+          options)
+          .resume();
+
+  EXPECT_EQ(result.executed, 24u);
+  EXPECT_FALSE(result.aborted);
+  const std::string resumed = readAll(journalPath(dir));
+  EXPECT_EQ(resumed.substr(0, prefix.size()), prefix)
+      << "the replayed prefix must stay byte-for-byte as the old run left it";
+  EXPECT_EQ(executions->load(), 24u - 13u)
+      << "only the 3 in-flight tests and the 8 never generated may run";
+
+  // Past the prefix, every test folds exactly once and in test order.
+  std::istringstream lines(resumed.substr(prefix.size()));
+  std::string line;
+  std::vector<std::uint64_t> folded;
+  while (std::getline(lines, line)) {
+    const auto event = decodeLine(line);
+    ASSERT_TRUE(event.has_value()) << line;
+    if (event->kind == JournalEvent::Kind::kDone) {
+      folded.push_back(event->done.test);
+    }
+  }
+  EXPECT_EQ(folded, (std::vector<std::uint64_t>{10, 12, 13, 17, 18, 19, 20,
+                                                21, 22, 23, 24}));
 }
 
 TEST(CampaignResume, CrashDuringCheckpointRecovers) {

@@ -940,5 +940,146 @@ TEST(FleetTcp, UnbindableAddressFailsConstructionLoudly) {
                std::runtime_error);
 }
 
+// --- one scheduler, two transports -------------------------------------------
+//
+// CampaignRunner's thread slots and the fleet's worker processes drive the
+// same scheduler (campaign/scheduler.h), so its guarantees are checked over
+// both transports.
+
+TEST(SchedulerTransports, InProcessW4JournalEqualsThreadFleetSpawn4Batch1) {
+  // Both have the window L = 4, and one engine folds for both.
+  const std::string threads = scratchDir("matrix_threads");
+  CampaignOptions options;
+  options.seed = 19;
+  options.totalTests = 40;
+  options.workers = 4;
+  options.outDir = threads;
+  options.system = "ridge";
+  CampaignRunner(ridgeFactory(), options).run();
+
+  const std::string processes = scratchDir("matrix_processes");
+  ThreadFleet fleet;
+  FleetOptions fleetOptions = ridgeFleetOptions(19, 40, 4, processes);
+  fleetOptions.batch = 1;
+  fleetOptions.launcher = fleet.launcher(ridgeWorkerFactory());
+  FleetCoordinator(std::move(fleetOptions), ridgeFactory()).run();
+
+  const std::string journal = readAll(journalPath(threads));
+  EXPECT_FALSE(journal.empty());
+  EXPECT_EQ(readAll(journalPath(processes)), journal);
+}
+
+enum class TransportKind { kThreads, kProcesses };
+
+std::string transportName(TransportKind kind) {
+  return kind == TransportKind::kThreads ? "Threads" : "Processes";
+}
+
+void PrintTo(TransportKind kind, std::ostream* out) {
+  *out << transportName(kind);
+}
+
+/// Runs or resumes a two-slot campaign over the given transport, every
+/// executor built by `make`.
+CampaignResult runOver(TransportKind kind, CampaignOptions options,
+                       const ExecutorFactory& make, bool resume) {
+  if (kind == TransportKind::kThreads) {
+    options.workers = 2;
+    CampaignRunner runner(make, options);
+    return resume ? runner.resume() : runner.run();
+  }
+  ThreadFleet fleet;
+  FleetOptions fleetOptions;
+  fleetOptions.campaign = std::move(options);
+  fleetOptions.spawn = 2;
+  fleetOptions.heartbeatMs = 50;
+  fleetOptions.wedgeKillLimit = 1;
+  fleetOptions.launcher = fleet.launcher(
+      [make](const std::string&, std::uint64_t) { return make(); });
+  FleetCoordinator coordinator(std::move(fleetOptions), make);
+  return resume ? coordinator.resume() : coordinator.run();
+}
+
+class SchedulerTransport : public ::testing::TestWithParam<TransportKind> {
+ protected:
+  std::string tag() const { return transportName(GetParam()); }
+};
+
+TEST_P(SchedulerTransport, KillMidLineResumesToIdenticalJournal) {
+  CampaignOptions options;
+  options.seed = 5;
+  options.totalTests = 48;
+  options.checkpointEvery = 8;
+  options.system = "ridge";
+  options.outDir = scratchDir("transport_full_" + tag());
+  const CampaignResult full =
+      runOver(GetParam(), options, ridgeFactory(), false);
+
+  const std::string cut = scratchDir("transport_cut_" + tag());
+  options.outDir = cut;
+  runOver(GetParam(), options, ridgeFactory(), false);
+  const std::string journal = readAll(journalPath(cut));
+  writeAll(journalPath(cut), journal.substr(0, cutOffset(journal, 41, 23)));
+
+  CampaignOptions resumeOptions;
+  resumeOptions.outDir = cut;
+  const CampaignResult resumed =
+      runOver(GetParam(), resumeOptions, ridgeFactory(), true);
+  EXPECT_EQ(resumed.executed, 48u);
+  EXPECT_EQ(resumed.maxImpact, full.maxImpact);
+  EXPECT_EQ(readAll(journalPath(cut)), readAll(journalPath(options.outDir)))
+      << "resumed journal must be byte-identical to the uninterrupted run";
+}
+
+/// Wedges on one point, instant elsewhere.
+class WedgeOnPoint final : public core::ScenarioExecutor {
+ public:
+  explicit WedgeOnPoint(core::Point wedge) : wedge_(std::move(wedge)) {}
+  core::Outcome execute(const core::Point& point) override {
+    if (point == wedge_) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    }
+    return inner_.execute(point);
+  }
+  const core::Hyperspace& space() const noexcept override {
+    return inner_.space();
+  }
+
+ private:
+  RidgeExecutor inner_;
+  core::Point wedge_;
+};
+
+TEST_P(SchedulerTransport, WedgedScenarioFoldsAsTimedOut) {
+  // The seed's first point wedges every executor; a wedge-kill limit of 1
+  // (fixed for threads, which cannot be killed) folds it as timed out.
+  core::Point wedgePoint;
+  {
+    RidgeExecutor probe;
+    core::Controller controller(probe, core::defaultPlugins(probe.space()),
+                                core::ControllerOptions{}, 41);
+    wedgePoint = controller.acquireScenario().point;
+  }
+  CampaignOptions options;
+  options.seed = 41;
+  options.totalTests = 24;
+  options.scenarioTimeoutMs = 150;
+  const CampaignResult result = runOver(
+      GetParam(), options,
+      [wedgePoint] { return std::make_unique<WedgeOnPoint>(wedgePoint); },
+      false);
+  EXPECT_EQ(result.executed, 24u);
+  EXPECT_FALSE(result.aborted);
+  EXPECT_EQ(result.timedOut, 1u) << "the wedged scenario folds as timed out";
+  EXPECT_GE(result.workerCrashes, 1u) << "the wedged slot was given up";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothTransports, SchedulerTransport,
+    ::testing::Values(TransportKind::kThreads, TransportKind::kProcesses),
+    [](const ::testing::TestParamInfo<TransportKind>& info) {
+      return transportName(info.param);
+    });
+
 }  // namespace
 }  // namespace avd::campaign::fleet

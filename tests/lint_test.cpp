@@ -201,6 +201,22 @@ TEST(LintR5, CampaignRunnerIsInScope) {
          "must see the same interleaving every run";
 }
 
+TEST(LintR5, CampaignSchedulerIsInScope) {
+  // The scheduler owns the fold order both campaign transports share.
+  EXPECT_EQ(countRule(lintFixture("unordered_iter.cc",
+                                  "src/campaign/scheduler.cpp"),
+                      "unordered-iter"),
+            2u);
+  const std::vector<SourceFile> files = {
+      {"src/campaign/scheduler.h",
+       "class S { std::unordered_map<int, int> unfolded_; };"},
+      {"src/campaign/scheduler.cpp",
+       "int S::f() { int s = 0; for (auto& [k, v] : unfolded_) s += v; "
+       "return s; }"},
+  };
+  EXPECT_EQ(countRule(lintFiles(files), "unordered-iter"), 1u);
+}
+
 TEST(LintR5, CampaignHeaderDeclarationsAreTrackedAcrossFiles) {
   const std::vector<SourceFile> files = {
       {"src/campaign/runner.h",

@@ -235,6 +235,7 @@ bool unorderedIterScope(const std::string& path) {
   return pathEndsWith(path, "pbft/replica.cpp") ||
          pathEndsWith(path, "avd/controller.cpp") ||
          pathEndsWith(path, "campaign/runner.cpp") ||
+         pathEndsWith(path, "campaign/scheduler.cpp") ||
          pathEndsWith(path, "campaign/dedup.cpp") ||
          pathEndsWith(path, "campaign/fleet/coordinator.cpp") ||
          pathEndsWith(path, "campaign/fleet/shard.cpp") ||
@@ -250,6 +251,7 @@ bool unorderedDeclScope(const std::string& path) {
          pathEndsWith(path, "pbft/stable_storage.h") ||
          pathEndsWith(path, "avd/controller.h") ||
          pathEndsWith(path, "campaign/runner.h") ||
+         pathEndsWith(path, "campaign/scheduler.h") ||
          pathEndsWith(path, "campaign/dedup.h") ||
          pathEndsWith(path, "campaign/fleet/coordinator.h") ||
          pathEndsWith(path, "campaign/fleet/shard.h") ||
@@ -1333,7 +1335,8 @@ const std::vector<RuleInfo>& ruleRegistry() {
       {"unordered-iter",
        "R5: no hash-container iteration in the ordering-sensitive loops of "
        "pbft/replica.cpp, avd/controller.cpp, campaign/runner.cpp, "
-       "campaign/dedup.cpp, campaign/fleet/{coordinator,shard,worker}.cpp, "
+       "campaign/scheduler.cpp, campaign/dedup.cpp, "
+       "campaign/fleet/{coordinator,shard,worker}.cpp, "
        "faultinject/churn.cpp, faultinject/flood.cpp, or sim/network.cpp"},
       {"detached-thread",
        "R6: no std::thread::detach(); every thread must have an owner "
